@@ -169,6 +169,9 @@ func (cfg Config) Validate() error {
 	if cfg.ThreadsPerCore < 0 {
 		return fmt.Errorf("core: threads per core %d is negative: %w", cfg.ThreadsPerCore, mem.ErrConfig)
 	}
+	if err := cfg.CPU.Validate(); err != nil {
+		return err
+	}
 	mc := cfg.Mem
 	mc.Cores = cfg.Cores
 	return mc.Validate()

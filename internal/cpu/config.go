@@ -12,6 +12,17 @@
 // the filter opens the barrier.
 package cpu
 
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
+
+// MaxRUUSize is the largest instruction window the core models: the window
+// state masks hold one bit per entry in a uint64. Table 2's RUU is exactly
+// this size.
+const MaxRUUSize = 64
+
 // Config holds the pipeline parameters. DefaultConfig matches Table 2 of
 // the paper.
 type Config struct {
@@ -65,4 +76,36 @@ func DefaultConfig() Config {
 		RedirectPenalty:  2,
 		HWBarrierWireLat: 2,
 	}
+}
+
+// Validate checks the pipeline parameters, returning an error wrapping
+// mem.ErrConfig describing the first problem. A zero width or unit count
+// would never dispatch or issue, and only end in a cycle-limit error.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"fetch width", c.FetchWidth},
+		{"decode width", c.DecodeWidth},
+		{"issue width", c.IssueWidth},
+		{"commit width", c.CommitWidth},
+		{"integer ALU count", c.IntALUs},
+		{"integer mul/div unit count", c.IntMulDiv},
+		{"FP unit count", c.FPUnits},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("cpu: %s %d is not positive: %w", f.name, f.v, mem.ErrConfig)
+		}
+	}
+	if c.RUUSize < 1 || c.RUUSize > MaxRUUSize {
+		return fmt.Errorf("cpu: RUU size %d outside 1..%d: %w", c.RUUSize, MaxRUUSize, mem.ErrConfig)
+	}
+	if c.LSQSize < 1 || c.LSQSize > c.RUUSize {
+		return fmt.Errorf("cpu: LSQ size %d outside 1..%d (the RUU size): %w", c.LSQSize, c.RUUSize, mem.ErrConfig)
+	}
+	if c.SBSize < 1 {
+		return fmt.Errorf("cpu: store buffer size %d is not positive: %w", c.SBSize, mem.ErrConfig)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -133,12 +134,20 @@ type Core struct {
 	trans    *TransCache
 	curBlock *transBlock
 
-	// Window.
+	// Window. Seqs in window are contiguous, so an entry's position is
+	// seq - window[0].seq; bit i of each mask below describes window[i]
+	// (see setState and DESIGN.md).
 	window     []*entry
 	nextSeq    uint64
 	producer   [64]*entry
 	fenceBlock bool
 	memOps     int
+
+	readyMask  uint64 // unissued, not serializing, both operands ready
+	flightMask uint64 // issued, not done, not waiting on a fill
+	missMask   uint64 // load waiting on a fill
+	storeMask  uint64 // store, SC or cache-op
+	waitMask   uint64 // some operand still waiting on a producer
 
 	sb []sbEntry
 
@@ -159,10 +168,7 @@ type Core struct {
 	// same-cache write, but the reservation is broken all the same.
 	siblings []*Core
 
-	// Fast-path bookkeeping.
-	inFlight    int // issued but not yet done
-	missWaiting int // loads waiting on fills
-	entryPool   []*entry
+	entryPool []*entry
 
 	// Reusable backing arrays for the three front-popped queues (see
 	// pushQueue); steady-state push/pop traffic allocates nothing.
@@ -241,8 +247,7 @@ func (c *Core) flushPipeline() {
 	c.llValid = false
 	c.fetchStopped = false
 	c.hwbarSent = false
-	c.inFlight = 0
-	c.missWaiting = 0
+	c.readyMask, c.flightMask, c.missMask, c.storeMask, c.waitMask = 0, 0, 0, 0, 0
 	c.quiesced = false
 	c.curBlock = nil
 }
@@ -262,6 +267,34 @@ func pushQueue[T any](q []T, back *[]T, bound int, e T) []T {
 		q = (*back)[:n]
 	}
 	return append(q, e)
+}
+
+// below and above return the masks of window positions strictly older and
+// strictly younger than position i.
+func below(i uint) uint64 { return uint64(1)<<i - 1 }
+func above(i uint) uint64 { return ^(uint64(2)<<i - 1) }
+
+// pos returns e's window position: the bit that describes it in the masks.
+func (c *Core) pos(e *entry) uint { return uint(e.seq - c.window[0].seq) }
+
+// setState recomputes the ready, in-flight and fill-wait bits of the entry
+// e at window position i from its flags. Every change to issued, done,
+// missWait or operand readiness is followed by a setState.
+func (c *Core) setState(i uint, e *entry) {
+	bit := uint64(1) << i
+	c.readyMask &^= bit
+	c.flightMask &^= bit
+	c.missMask &^= bit
+	switch {
+	case e.missWait:
+		c.missMask |= bit
+	case e.issued:
+		if !e.done {
+			c.flightMask |= bit
+		}
+	case !e.done && !e.isSer && e.src[0].ready && e.src[1].ready:
+		c.readyMask |= bit
+	}
 }
 
 // allocEntry takes an entry from the pool (or allocates one) and resets it.
@@ -385,46 +418,33 @@ func (c *Core) Tick(now uint64) {
 
 func (c *Core) completeStage(now uint64) {
 	// Retire finished executions, waking their consumers; resolve
-	// branches. The scan stops once every in-flight entry has been seen:
-	// the remaining tail is unissued or done, for which the body is a
-	// no-op anyway.
-	remaining := c.inFlight
-	if remaining == 0 {
-		return
-	}
-	for _, e := range c.window {
-		// missWait loads are issued-but-not-done without being counted
-		// in inFlight (their doneAt is unreachable until the fill).
-		if !e.issued || e.done || e.missWait {
+	// branches. Loads waiting on a fill are not in flightMask: their
+	// doneAt is unreachable until the fill (performLoad).
+	for m := c.flightMask; m != 0; m &= m - 1 {
+		i := uint(bits.TrailingZeros64(m))
+		e := c.window[i]
+		if e.doneAt > now {
 			continue
 		}
-		remaining--
-		if e.doneAt <= now {
-			e.done = true
-			c.inFlight--
-			c.broadcast(e)
-			if e.mispredicted {
-				c.Mispredicts++
-				c.squashAfter(now, e)
-				return // window changed
-			}
-		}
-		if remaining == 0 {
-			return
+		e.done = true
+		c.flightMask &^= 1 << i
+		c.broadcast(e)
+		if e.mispredicted {
+			c.Mispredicts++
+			c.squashAfter(now, i, e)
+			return // window changed
 		}
 	}
 }
 
 // broadcast delivers a completed entry's result to waiting consumers.
 // Consumers are strictly younger than their producer (program order), so
-// the scan runs from the window tail and stops at p's position — or
-// earlier, once every registered waiter has been woken.
+// only waiting entries above p's position are visited, stopping once every
+// registered waiter has been woken.
 func (c *Core) broadcast(p *entry) {
-	for i := len(c.window) - 1; i >= 0 && p.waiters > 0; i-- {
+	for m := c.waitMask & above(c.pos(p)); m != 0 && p.waiters > 0; m &= m - 1 {
+		i := uint(bits.TrailingZeros64(m))
 		e := c.window[i]
-		if e.seq <= p.seq {
-			break
-		}
 		for j := range e.src {
 			if e.src[j].dep == p {
 				e.src[j].val = p.result
@@ -433,24 +453,32 @@ func (c *Core) broadcast(p *entry) {
 				p.waiters--
 			}
 		}
+		if e.src[0].ready && e.src[1].ready {
+			c.waitMask &^= 1 << i
+			c.setState(i, e)
+		}
 	}
 }
 
-// squashAfter removes all entries younger than e and redirects fetch.
-func (c *Core) squashAfter(now uint64, e *entry) {
-	keep := c.window[:0]
+// squashAfter removes all entries younger than e, at window position i,
+// and redirects fetch. nextSeq restarts after e so window seqs stay
+// contiguous.
+func (c *Core) squashAfter(now uint64, i uint, e *entry) {
 	sawLL := false
-	for _, x := range c.window {
-		if x.seq <= e.seq {
-			keep = append(keep, x)
-		} else {
-			if x.in.Op == isa.LL && x.issued {
-				sawLL = true
-			}
-			c.freeEntry(x)
+	for _, x := range c.window[i+1:] {
+		if x.in.Op == isa.LL && x.issued {
+			sawLL = true
 		}
+		c.freeEntry(x)
 	}
-	c.window = keep
+	c.window = c.window[:i+1]
+	c.nextSeq = e.seq
+	keep := ^above(i)
+	c.readyMask &= keep
+	c.flightMask &= keep
+	c.missMask &= keep
+	c.storeMask &= keep
+	c.waitMask &= keep
 	if sawLL {
 		c.llValid = false
 	}
@@ -469,8 +497,6 @@ func (c *Core) rebuildRename() {
 	}
 	c.memOps = 0
 	c.fenceBlock = false
-	c.inFlight = 0
-	c.missWaiting = 0
 	for _, x := range c.window {
 		x.waiters = 0
 		if x.dest >= 0 {
@@ -481,12 +507,6 @@ func (c *Core) rebuildRename() {
 		}
 		if x.serializing() {
 			c.fenceBlock = true
-		}
-		if x.issued && !x.done && !x.missWait {
-			c.inFlight++
-		}
-		if x.missWait {
-			c.missWaiting++
 		}
 	}
 	// Recount waiters: squashed consumers took their registrations with
@@ -576,6 +596,11 @@ func (c *Core) commitStage(now uint64) {
 
 func (c *Core) popHead(e *entry) {
 	c.window = c.window[1:]
+	c.readyMask >>= 1
+	c.flightMask >>= 1
+	c.missMask >>= 1
+	c.storeMask >>= 1
+	c.waitMask >>= 1
 	if e.isLoad() || e.isStore() || e.isCacheOp() {
 		c.memOps--
 	}
@@ -626,7 +651,7 @@ func (c *Core) trySerializing(now uint64, e *entry) bool {
 			// One cycle to check and reset the local status register.
 			e.doneAt = now + 1
 			e.issued = true
-			c.inFlight++
+			c.setState(0, e) // the serializing entry is the window head
 			c.hwbarSent = false
 		}
 		return false // commits once completeStage marks it done
@@ -684,15 +709,12 @@ func (c *Core) sbIssuedOnly() bool {
 // --- loads waiting on fills --------------------------------------------
 
 func (c *Core) missWaitStage(now uint64) {
-	if c.missWaiting == 0 {
-		return
-	}
-	for _, e := range c.window {
-		if !e.missWait {
-			continue
-		}
+	for m := c.missMask; m != 0; m &= m - 1 {
+		i := uint(bits.TrailingZeros64(m))
+		e := c.window[i]
 		if c.l1d.Present(e.addr) {
 			c.performLoad(now, e)
+			c.setState(i, e)
 			continue
 		}
 		// MSHR may have been unavailable; keep trying.
@@ -706,12 +728,8 @@ func (c *Core) missWaitStage(now uint64) {
 func (c *Core) performLoad(now uint64, e *entry) {
 	v := c.sys.Mem.Read(e.addr, e.info.MemBytes)
 	e.result = signExtend(v, e.info.MemBytes)
-	if e.missWait {
-		e.missWait = false
-		c.missWaiting--
-	}
+	e.missWait = false
 	e.doneAt = now + 1
-	c.inFlight++
 	c.LoadsExecuted++
 	if Trace {
 		tracef("[%d] core%d load pc=%#x addr=%#x -> %#x\n", now, c.ID, e.pc, e.addr, e.result)
@@ -731,16 +749,18 @@ func (c *Core) issueStage(now uint64) {
 	issued := 0
 	intUsed, mulUsed, fpUsed := 0, 0, 0
 	memPortUsed := false
-	for _, e := range c.window {
-		if issued >= c.Cfg.IssueWidth {
+	// Ready entries are visited oldest first. The mask is re-read for every
+	// entry rather than snapshotted: a faulting entry's broadcast (BAD, a
+	// bad-address load or SC) can ready a younger consumer, which may issue
+	// in this same cycle.
+	for from := uint(0); issued < c.Cfg.IssueWidth; {
+		m := c.readyMask &^ below(from)
+		if m == 0 {
 			return
 		}
-		if e.issued || e.done || e.serializing() {
-			continue
-		}
-		if !e.src[0].ready || !e.src[1].ready {
-			continue
-		}
+		i := uint(bits.TrailingZeros64(m))
+		from = i + 1
+		e := c.window[i]
 		switch e.info.Class {
 		case isa.ClassALU, isa.ClassBranch, isa.ClassJump:
 			if intUsed >= c.Cfg.IntALUs {
@@ -785,7 +805,6 @@ func (c *Core) issueStage(now uint64) {
 			}
 			intUsed++
 			e.issued = true
-			c.inFlight++
 			e.doneAt = now + 1
 		case isa.ClassLoad:
 			if memPortUsed {
@@ -819,16 +838,17 @@ func (c *Core) issueStage(now uint64) {
 			e.issued = true
 			e.done = true
 			e.fault = fmt.Errorf("cpu: illegal instruction %v at %#x", e.in.Op, e.pc)
+			c.setState(i, e)
 			c.broadcast(e)
 			continue
 		}
+		c.setState(i, e)
 		issued++
 	}
 }
 
 func (c *Core) executeSimple(now uint64, e *entry, lat uint64) {
 	e.issued = true
-	c.inFlight++
 	e.doneAt = now + lat
 	switch e.info.Class {
 	case isa.ClassBranch:
@@ -855,7 +875,6 @@ func (c *Core) executeStore(now uint64, e *entry) {
 	e.addrReady = true
 	e.storeVal = e.src[1].val
 	e.issued = true
-	c.inFlight++
 	e.doneAt = now + 1
 	if e.addr%uint64(e.info.MemBytes) != 0 {
 		e.fault = fmt.Errorf("cpu: misaligned %d-byte store to %#x at pc %#x", e.info.MemBytes, e.addr, e.pc)
@@ -869,7 +888,6 @@ func (c *Core) executeCacheOp(now uint64, e *entry) {
 	e.addr = c.lineOf(uint64(int64(e.src[0].val) + int64(e.in.Imm)))
 	e.addrReady = true
 	e.issued = true
-	c.inFlight++
 	e.doneAt = now + 1
 }
 
@@ -895,7 +913,6 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		// LL ignores forwarding: it needs the line in the cache for
 		// the reservation to mean anything.
 		e.missWait = true
-		c.missWaiting++
 		e.doneAt = ^uint64(0)
 		if !c.l1d.Present(addr) {
 			c.l1d.StartMiss(now, addr, mem.GetS, false)
@@ -905,7 +922,6 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 	if hasFwd {
 		e.result = signExtend(fwd, e.info.MemBytes)
 		e.doneAt = now + 1
-		c.inFlight++
 		c.LoadsExecuted++
 		return true
 	}
@@ -914,7 +930,6 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		return true
 	}
 	e.missWait = true
-	c.missWaiting++
 	e.doneAt = ^uint64(0) // not done until the fill arrives (performLoad)
 	c.l1d.StartMiss(now, addr, mem.GetS, false)
 	return true
@@ -950,11 +965,9 @@ func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 			fwd, hasFwd = f, true
 		}
 	}
-	// Older window entries.
-	for _, o := range c.window {
-		if o.seq >= e.seq {
-			break
-		}
+	// Older stores, SCs and cache-ops in the window.
+	for m := c.storeMask & below(c.pos(e)); m != 0; m &= m - 1 {
+		o := c.window[bits.TrailingZeros64(m)]
 		if o.isCacheOp() {
 			if !o.addrReady {
 				return 0, false, false
@@ -962,9 +975,6 @@ func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 			if c.lineOf(o.addr) == line {
 				return 0, false, false
 			}
-			continue
-		}
-		if !o.isStore() {
 			continue
 		}
 		if !o.addrReady {
@@ -1030,7 +1040,6 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 	}
 	if !c.llValid || c.lineOf(c.llAddr) != c.lineOf(addr) {
 		e.issued = true
-		c.inFlight++
 		e.addrReady = true
 		e.result = 0
 		e.doneAt = now + 1
@@ -1049,7 +1058,6 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 			tracef("[%d] core%d SC OK pc=%#x addr=%#x val=%d\n", now, c.ID, e.pc, addr, e.src[1].val)
 		}
 		e.issued = true
-		c.inFlight++
 		e.addrReady = true
 		e.result = 1
 		e.doneAt = now + 1
@@ -1062,7 +1070,6 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 		// Line lost: the reservation is gone too (onLineLost), but be
 		// defensive and fail rather than fetch the line again.
 		e.issued = true
-		c.inFlight++
 		e.addrReady = true
 		e.result = 0
 		e.doneAt = now + 1
@@ -1115,7 +1122,15 @@ func (c *Core) dispatchStage(now uint64) {
 			e.done = true
 		}
 		c.fetchBuf = c.fetchBuf[1:]
+		i := uint(len(c.window))
 		c.window = pushQueue(c.window, &c.winBack, 2*c.Cfg.RUUSize, e)
+		if e.isStore() || e.isCacheOp() {
+			c.storeMask |= 1 << i
+		}
+		if !e.src[0].ready || !e.src[1].ready {
+			c.waitMask |= 1 << i
+		}
+		c.setState(i, e)
 		_ = now
 	}
 }

@@ -280,18 +280,14 @@ loop:
 	p := asm.MustAssemble(src, textBase, 0x100000)
 	r := newRig(t, 2, p)
 	r.start(0, 0, 1, p.Entry)
-	// Run a while, then migrate the thread to core 1.
+	// Run a while, then migrate the thread to core 1, checking the window
+	// masks every cycle: Deschedule must empty them and the restored core
+	// must rebuild them from scratch.
 	for i := 0; i < 5000; i++ {
-		for _, c := range r.cores {
-			c.Tick(r.now)
-		}
-		r.sys.Tick(r.now)
-		r.now++
+		r.tickChecked(t)
 	}
 	for !r.cores[0].Drained() {
-		r.cores[0].Tick(r.now)
-		r.sys.Tick(r.now)
-		r.now++
+		r.tickChecked(t)
 	}
 	pc, regs, err := r.cores[0].Deschedule()
 	if err != nil {
@@ -300,8 +296,13 @@ loop:
 	if r.cores[0].Running() {
 		t.Fatal("descheduled core still running")
 	}
+	if c := r.cores[0]; c.readyMask|c.flightMask|c.missMask|c.storeMask|c.waitMask != 0 {
+		t.Fatal("descheduled core kept window mask bits")
+	}
 	r.cores[1].Restore(pc, regs)
-	r.run(t, 5_000_000)
+	for i := 0; i < 5_000_000 && r.cores[1].Running(); i++ {
+		r.tickChecked(t)
+	}
 	if len(r.cores[1].Console) != 1 || r.cores[1].Console[0] != 100000 {
 		t.Fatalf("migrated thread produced %v", r.cores[1].Console)
 	}

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -68,9 +70,9 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 		return false
 	}
 	// completeStage: nothing executing toward a future doneAt. (Loads in
-	// missWait are not counted in inFlight; their doneAt is unreachable
-	// until performLoad runs after the fill.)
-	if c.inFlight != 0 {
+	// missWait are not in flightMask; their doneAt is unreachable until
+	// performLoad runs after the fill.)
+	if c.flightMask != 0 {
 		return false
 	}
 	// fetchStage holds until fetchHoldUntil expire by themselves, without
@@ -117,18 +119,16 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 			return false
 		}
 	}
-	// missWaitStage and issueStage: every blocked load's fill must still
-	// be outstanding, and no unissued entry may have all operands ready
-	// (it would attempt to issue; even attempts that fail ordering checks
-	// are not worth proving frozen).
-	for _, e := range c.window {
-		if e.missWait {
-			if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
-				return false
-			}
-			continue
-		}
-		if !e.issued && !e.isSer && e.src[0].ready && e.src[1].ready {
+	// issueStage: no unissued entry may have all operands ready (it would
+	// attempt to issue; even attempts that fail ordering checks are not
+	// worth proving frozen).
+	if c.readyMask != 0 {
+		return false
+	}
+	// missWaitStage: every blocked load's fill must still be outstanding.
+	for m := c.missMask; m != 0; m &= m - 1 {
+		e := c.window[bits.TrailingZeros64(m)]
+		if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
 			return false
 		}
 	}

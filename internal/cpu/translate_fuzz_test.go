@@ -10,7 +10,8 @@ import (
 
 // FuzzTranslateDiff feeds arbitrary assembler sources through the frontend
 // twice — translation cache attached and detached — and requires bit-identical
-// cycle counts, architectural registers, console output, and fault text. The
+// cycle counts, architectural registers, console output, and fault text, with
+// the window masks checked against the entries after every cycle. The
 // seed corpus leans on the cases where the cache could legally go stale:
 // stores into the text segment (with and without the architectural
 // ICBI/IFLUSH sequence), jumps into never-written memory, and misaligned
@@ -62,9 +63,7 @@ func FuzzTranslateDiff(f *testing.F) {
 			}
 			r.start(0, 0, 1, p.Entry)
 			for i := 0; i < 20_000 && r.cores[0].Running(); i++ {
-				r.cores[0].Tick(r.now)
-				r.sys.Tick(r.now)
-				r.now++
+				r.tickChecked(t)
 			}
 			c := r.cores[0]
 			var sb strings.Builder

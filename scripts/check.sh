@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: formatting, static checks, build, the
-# test suite, a race-detector pass over the parallel experiment harness, and
-# the differential suites (fast path, chaos, sanitizer).
+# test suite, a race-detector pass over the parallel experiment harness, the
+# differential suites (fast path, chaos, sanitizer), and the benchmark's
+# reference check.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,5 +65,16 @@ go test -race -count=1 ./internal/simd
 
 echo "== simd smoke (boot, kill -9 mid-sweep, resume byte-identical, cache oracle) =="
 sh scripts/simd_smoke.sh
+
+echo "== perfbench (every benchmark cell's cycles and stats digest vs reference.json) =="
+for w in paper-kernels barrier-storm sweep-service; do
+	last="$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+	if ! printf '%s\n' "$last" | grep -q '"correct":true' ||
+		! printf '%s\n' "$last" | grep -Eq '"failed":0[,}]'; then
+		echo "perfbench $w failed its reference check: $last" >&2
+		exit 1
+	fi
+done
+(cd perfbench && go test .)
 
 echo "ok"
